@@ -223,7 +223,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 
 	var handler http.Handler
 	runProbes := func(context.Context) {}
-	flush := func() {}
+	closeServer := func() {}
 	var banner string
 	if len(o.route) > 0 {
 		rt, err := server.NewRouter(server.RouterConfig{
@@ -265,7 +265,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		}
 		handler = srv.Handler()
 		runProbes = srv.RunClusterProbes
-		flush = srv.WaitFlushes
+		closeServer = srv.Close
 		banner = fmt.Sprintf("graphs: %s", strings.Join(reg.Names(), ", "))
 		if len(o.peers) > 0 {
 			banner += fmt.Sprintf("; peers: %s", strings.Join(o.peers, ", "))
@@ -301,7 +301,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		}
 		// Sketch persistence is write-behind; drain it so a restart on
 		// the same state dir finds everything this process built.
-		flush()
+		closeServer()
 		return nil
 	}
 }

@@ -1,13 +1,8 @@
 package cascade
 
 import (
-	"container/heap"
-	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fairtcim/internal/graph"
 	"fairtcim/internal/xrand"
@@ -153,67 +148,59 @@ func SampleDelayedWorlds(g *graph.Graph, dist DelayDist, r int, seed int64, para
 // nil cancel never fires, making this the common implementation for both
 // entry points.
 func SampleDelayedWorldsCancel(g *graph.Graph, dist DelayDist, r int, seed int64, parallelism int, cancel <-chan struct{}) ([]*WeightedWorld, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > r {
-		parallelism = r
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	root := xrand.New(seed)
-	worlds := make([]*WeightedWorld, r)
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	work := make(chan int, r)
-	for i := 0; i < r; i++ {
-		work <- i
-	}
-	close(work)
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if cancel != nil {
-					select {
-					case <-cancel:
-						canceled.Store(true)
-						return
-					default:
-					}
-				}
-				worlds[i] = SampleDelayedWorld(g, dist, root.SplitN(int64(i)))
-			}
-		}()
-	}
-	wg.Wait()
-	if canceled.Load() {
-		return nil, context.Canceled
-	}
-	return worlds, nil
+	return sampleParallel(g, r, seed, parallelism, cancel, func(g *graph.Graph, rng *xrand.RNG) *WeightedWorld {
+		return SampleDelayedWorld(g, dist, rng)
+	})
 }
 
-// distHeap is a binary min-heap of (node, dist) pairs for the bounded
-// Dijkstra below.
-type distItem struct {
-	node graph.NodeID
-	d    int32
+// TimedNode pairs a node with an activation time.
+type TimedNode struct {
+	Node graph.NodeID
+	D    int32
 }
 
-type distHeap []distItem
+// TimeHeap is a binary min-heap of TimedNodes keyed by D, for the bounded
+// Dijkstra searches over weighted worlds. Its sift steps are those of the
+// standard library's heap package, so nodes with equal times pop in the
+// same order, without boxing every entry in an interface.
+type TimeHeap []TimedNode
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// Push adds it to the heap.
+func (h *TimeHeap) Push(it TimedNode) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if q[j].D >= q[i].D {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// Pop removes and returns an entry with the least D. The heap must be
+// non-empty.
+func (h *TimeHeap) Pop() TimedNode {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].D < q[j].D {
+			j = r
+		}
+		if q[j].D >= q[i].D {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // ReachableDelayed computes each node's weighted activation time from
@@ -228,28 +215,27 @@ func ReachableDelayed(w *WeightedWorld, seeds []graph.NodeID, tau int32, scratch
 	for i := range dist {
 		dist[i] = NotActivated
 	}
-	h := make(distHeap, 0, len(seeds))
+	h := make(TimeHeap, 0, len(seeds))
 	for _, s := range seeds {
 		if dist[s] != 0 {
 			dist[s] = 0
-			h = append(h, distItem{node: s, d: 0})
+			h.Push(TimedNode{Node: s, D: 0})
 		}
 	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(distItem)
-		if it.d != dist[it.node] {
+	for len(h) > 0 {
+		it := h.Pop()
+		if it.D != dist[it.Node] {
 			continue // stale entry
 		}
-		targets, delays := w.Out(it.node)
+		targets, delays := w.Out(it.Node)
 		for i, to := range targets {
-			nd := it.d + delays[i]
+			nd := it.D + delays[i]
 			if nd > tau {
 				continue
 			}
 			if dist[to] == NotActivated || nd < dist[to] {
 				dist[to] = nd
-				heap.Push(&h, distItem{node: to, d: nd})
+				h.Push(TimedNode{Node: to, D: nd})
 			}
 		}
 	}
@@ -267,7 +253,7 @@ func RunICM(g *graph.Graph, seeds []graph.NodeID, tau int32, m float64, rng *xra
 	for i := range times {
 		times[i] = NotActivated
 	}
-	h := distHeap{}
+	var h TimeHeap
 	activate := func(v graph.NodeID, t int32) {
 		times[v] = t
 		targets, probs := g.OutEdges(v)
@@ -280,7 +266,7 @@ func RunICM(g *graph.Graph, seeds []graph.NodeID, tau int32, m float64, rng *xra
 			}
 			at := t + int32(rng.Geometric(m))
 			if at <= tau {
-				heap.Push(&h, distItem{node: to, d: at})
+				h.Push(TimedNode{Node: to, D: at})
 			}
 		}
 	}
@@ -289,12 +275,12 @@ func RunICM(g *graph.Graph, seeds []graph.NodeID, tau int32, m float64, rng *xra
 			activate(s, 0)
 		}
 	}
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(distItem)
-		if times[it.node] != NotActivated {
+	for len(h) > 0 {
+		it := h.Pop()
+		if times[it.Node] != NotActivated {
 			continue // already activated earlier via another edge
 		}
-		activate(it.node, it.d)
+		activate(it.Node, it.D)
 	}
 	return times
 }

@@ -250,3 +250,32 @@ func TestDelayedMonotoneInTau(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestTimeHeapPopsInOrder(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := xrand.New(seed)
+		var h TimeHeap
+		var want []int32 // multiset of queued times, kept sorted
+		for op := 0; op < 200; op++ {
+			if len(h) == 0 || rng.Intn(3) > 0 {
+				d := rng.Int31n(20)
+				h.Push(TimedNode{Node: graph.NodeID(op), D: d})
+				i := len(want)
+				want = append(want, d)
+				for ; i > 0 && want[i-1] > d; i-- {
+					want[i] = want[i-1]
+				}
+				want[i] = d
+				continue
+			}
+			if got := h.Pop(); got.D != want[0] {
+				return false
+			}
+			want = want[1:]
+		}
+		return len(h) == len(want)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -177,17 +177,25 @@ func SampleWorlds(g *graph.Graph, model Model, r int, seed int64, parallelism in
 // context.Canceled. A nil cancel never fires, making this the common
 // implementation for both entry points.
 func SampleWorldsCancel(g *graph.Graph, model Model, r int, seed int64, parallelism int, cancel <-chan struct{}) ([]*World, error) {
+	draw := SampleICWorld
+	if model == LT {
+		draw = SampleLTWorld
+	}
+	return sampleParallel(g, r, seed, parallelism, cancel, draw)
+}
+
+// sampleParallel is the worker loop behind every world sampler: it draws
+// r worlds of g on parallelism workers (<= 0 means GOMAXPROCS), world i
+// from the i'th split of the seed stream, so the result is independent of
+// scheduling. Once cancel is closed, workers stop between worlds and it
+// returns context.Canceled; a nil cancel never fires.
+func sampleParallel[W any](g *graph.Graph, r int, seed int64, parallelism int, cancel <-chan struct{}, draw func(*graph.Graph, *xrand.RNG) W) ([]W, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > r {
-		parallelism = r
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
+	parallelism = max(1, min(parallelism, r))
 	root := xrand.New(seed)
-	worlds := make([]*World, r)
+	worlds := make([]W, r)
 	var canceled atomic.Bool
 	var wg sync.WaitGroup
 	next := make(chan int, r)
@@ -208,13 +216,7 @@ func SampleWorldsCancel(g *graph.Graph, model Model, r int, seed int64, parallel
 					default:
 					}
 				}
-				rng := root.SplitN(int64(i))
-				switch model {
-				case LT:
-					worlds[i] = SampleLTWorld(g, rng)
-				default:
-					worlds[i] = SampleICWorld(g, rng)
-				}
+				worlds[i] = draw(g, root.SplitN(int64(i)))
 			}
 		}()
 	}

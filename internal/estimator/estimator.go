@@ -2,8 +2,9 @@
 // engines and everything that consumes them — solvers (fairim), baselines,
 // the experiment harness and the CLIs. Two engines implement it today:
 //
-//   - forward Monte Carlo over live-edge worlds (influence.Evaluator and
-//     its delayed/discounted variants), the paper's estimator; and
+//   - forward Monte Carlo over live-edge worlds (influence.Evaluator, one
+//     type for unit or delayed worlds and 0/1 or discounted utility), the
+//     paper's estimator; and
 //   - reverse influence sampling (ris.Estimator), the scalability
 //     extension that turns group utilities into RR-set coverage.
 //

@@ -352,7 +352,10 @@ func (c *Config) newEstimator(g *graph.Graph) (estimator.Estimator, error) {
 		return ris.NewEstimator(col), nil
 	}
 	if c.Delay != nil {
-		worlds := cascade.SampleDelayedWorlds(g, c.Delay, c.Samples, c.Seed, c.Parallelism)
+		worlds, err := cascade.SampleDelayedWorldsCancel(g, c.Delay, c.Samples, c.Seed, c.Parallelism, c.Cancel)
+		if err != nil {
+			return nil, mapCanceled(err)
+		}
 		return influence.NewDelayedEvaluator(g, worlds, c.Tau)
 	}
 	worlds, err := cascade.SampleWorldsCancel(g, c.Model, c.Samples, c.Seed, c.Parallelism, c.Cancel)

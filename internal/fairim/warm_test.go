@@ -2,11 +2,13 @@ package fairim
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/ris"
+	"fairtcim/internal/xrand"
 )
 
 func warmTestGraph(t *testing.T) *graph.Graph {
@@ -175,5 +177,41 @@ func TestCancelDuringSampling(t *testing.T) {
 	okCfg.ReportOnSample = true
 	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: okCfg}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingDelay is a unit delay that counts its draws.
+type countingDelay struct{ draws *atomic.Int64 }
+
+func (d countingDelay) Sample(*xrand.RNG) int32 { d.draws.Add(1); return 1 }
+func (countingDelay) Name() string              { return "counting" }
+
+// TestCancelBeforeDelayedSampling: a delayed-diffusion solve whose Cancel
+// is already closed returns ErrCanceled without drawing its worlds. The
+// world count is sized so that drawing them all would take seconds.
+func TestCancelBeforeDelayedSampling(t *testing.T) {
+	const n = 100
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u != v {
+				b.AddEdge(graph.NodeID(u), graph.NodeID(v), 0.002)
+			}
+		}
+	}
+	g := b.MustBuild()
+	done := make(chan struct{})
+	close(done)
+	var draws atomic.Int64
+	cfg := DefaultConfig(3)
+	cfg.Tau = 5
+	cfg.Delay = countingDelay{draws: &draws}
+	cfg.Samples = 100_000
+	cfg.Cancel = done
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("got %v, want ErrCanceled", err)
+	}
+	if d := draws.Load(); d != 0 {
+		t.Fatalf("%d edge delays drawn after cancel", d)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"fairtcim/internal/xrand"
 )
 
-func newDelayedEval(t *testing.T, g *graph.Graph, tau int32, r int, m float64, seed int64) *DelayedEvaluator {
+func newDelayedEval(t *testing.T, g *graph.Graph, tau int32, r int, m float64, seed int64) *Evaluator {
 	t.Helper()
 	worlds := cascade.SampleDelayedWorlds(g, cascade.GeometricDelay{M: m}, r, seed, 0)
 	e, err := NewDelayedEvaluator(g, worlds, tau)

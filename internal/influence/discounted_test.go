@@ -10,7 +10,7 @@ import (
 	"fairtcim/internal/xrand"
 )
 
-func newDiscEval(t *testing.T, g *graph.Graph, tau int32, gamma float64, r int, seed int64) *DiscountedEvaluator {
+func newDiscEval(t *testing.T, g *graph.Graph, tau int32, gamma float64, r int, seed int64) *Evaluator {
 	t.Helper()
 	worlds := cascade.SampleWorlds(g, cascade.IC, r, seed, 0)
 	e, err := NewDiscountedEvaluator(g, worlds, tau, gamma)

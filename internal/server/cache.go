@@ -155,11 +155,12 @@ type Cache struct {
 	peers peerSource
 
 	// flushWG tracks write-behind disk saves in flight; flushing mirrors
-	// it as a gauge for CacheStats. WaitFlushes drains it on shutdown.
+	// it as a gauge for CacheStats. Close drains it on shutdown.
 	flushWG  sync.WaitGroup
 	flushing atomic.Int64
 
 	mu         sync.Mutex
+	closed     bool // set by Close: no new write-behind saves start
 	capacity   int
 	entries    map[sampleKey]*cacheEntry
 	lru        *list.List // of *cacheEntry; front = most recently used
@@ -537,7 +538,15 @@ func (c *Cache) diskSaveAsync(key sampleKey, smp *sample) {
 	if c.disk == nil {
 		return
 	}
+	// Add under mu so it cannot race Close's Wait: once closed is set, no
+	// save starts.
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
 	c.flushWG.Add(1)
+	c.mu.Unlock()
 	c.flushing.Add(1)
 	go func() {
 		defer c.flushWG.Done()
@@ -547,9 +556,18 @@ func (c *Cache) diskSaveAsync(key sampleKey, smp *sample) {
 }
 
 // WaitFlushes blocks until every write-behind started so far has hit
-// disk. The daemon calls it on shutdown so a restart finds every built
-// sketch persisted; tests call it before asserting on-disk state.
+// disk. Tests call it before asserting on-disk state.
 func (c *Cache) WaitFlushes() { c.flushWG.Wait() }
+
+// Close stops new write-behind saves and waits for those in flight, so
+// nothing writes to the state dir once it returns. Samples built after
+// Close are still served, just not persisted. Close is idempotent.
+func (c *Cache) Close() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.flushWG.Wait()
+}
 
 // refreshFrom tries to satisfy a memory+disk miss at key.version by
 // incrementally refreshing a resident sketch of the same shape built at an

@@ -54,6 +54,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 
 	cold := NewCache(8)
 	cold.disk = mustDisk(t, dir)
+	t.Cleanup(cold.Close)
 	want := make([][]float64, len(keys))
 	for i, key := range keys {
 		smp, hit, _, err := cold.SampleFor(context.Background(), key, g, 1, nil)
@@ -74,6 +75,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 
 	warm := NewCache(8)
 	warm.disk = mustDisk(t, dir)
+	t.Cleanup(warm.Close)
 	for i, key := range keys {
 		smp, hit, _, err := warm.SampleFor(context.Background(), key, g, 1, nil)
 		if err != nil {
@@ -169,6 +171,7 @@ func TestCacheDiskRejectsCorrupt(t *testing.T) {
 
 	c1 := NewCache(8)
 	c1.disk = mustDisk(t, dir)
+	t.Cleanup(c1.Close)
 	smp, _, _, err := c1.SampleFor(context.Background(), key, g, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -188,6 +191,7 @@ func TestCacheDiskRejectsCorrupt(t *testing.T) {
 
 	c2 := NewCache(8)
 	c2.disk = mustDisk(t, dir)
+	t.Cleanup(c2.Close)
 	smp, hit, _, err := c2.SampleFor(context.Background(), key, g, 1, nil)
 	if err != nil {
 		t.Fatalf("corrupt file surfaced as an error: %v", err)
@@ -209,6 +213,7 @@ func TestCacheDiskRejectsCorrupt(t *testing.T) {
 	c2.WaitFlushes()
 	c3 := NewCache(8)
 	c3.disk = mustDisk(t, dir)
+	t.Cleanup(c3.Close)
 	if _, hit, _, err := c3.SampleFor(context.Background(), key, g, 1, nil); err != nil || !hit {
 		t.Fatalf("rewritten file not loadable: hit=%v err=%v", hit, err)
 	}
@@ -223,6 +228,7 @@ func TestCacheDiskRejectsWrongGraph(t *testing.T) {
 
 	c1 := NewCache(8)
 	c1.disk = mustDisk(t, dir)
+	t.Cleanup(c1.Close)
 	if _, _, _, err := c1.SampleFor(context.Background(), key, generate.TwoStars(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +240,7 @@ func TestCacheDiskRejectsWrongGraph(t *testing.T) {
 	}
 	c2 := NewCache(8)
 	c2.disk = mustDisk(t, dir)
+	t.Cleanup(c2.Close)
 	smp, hit, _, err := c2.SampleFor(context.Background(), key, other, 1, nil)
 	if err != nil || smp == nil {
 		t.Fatalf("mismatched file broke the request: %v", err)
@@ -278,6 +285,7 @@ func TestCacheDiskLoadsV1Frame(t *testing.T) {
 
 	c := NewCache(8)
 	c.disk = d
+	t.Cleanup(c.Close)
 	smp, hit, _, err := c.SampleFor(context.Background(), key, g, 1, nil)
 	if err != nil || !hit {
 		t.Fatalf("v1 frame load: hit=%v err=%v", hit, err)
@@ -303,6 +311,7 @@ func TestCacheDiskRejectsWrongVersion(t *testing.T) {
 
 	c1 := NewCache(8)
 	c1.disk = mustDisk(t, dir)
+	t.Cleanup(c1.Close)
 	if _, _, _, err := c1.SampleFor(context.Background(), key, g, 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -321,11 +330,42 @@ func TestCacheDiskRejectsWrongVersion(t *testing.T) {
 
 	c2 := NewCache(8)
 	c2.disk = mustDisk(t, dir)
+	t.Cleanup(c2.Close)
 	if _, hit, _, err := c2.SampleFor(context.Background(), key, g, 1, nil); err != nil || hit {
 		t.Fatalf("version-skewed file: hit=%v err=%v", hit, err)
 	}
 	if st := c2.Stats(); st.Builds != 1 || st.DiskErrors < 1 {
 		t.Fatalf("version-skew counters: %+v", st)
+	}
+}
+
+// TestCacheDiskClose: Close drains the write-behind saves in flight, and a
+// sample built after Close is served but never written.
+func TestCacheDiskClose(t *testing.T) {
+	g := generate.TwoStars()
+	dir := t.TempDir()
+	c := NewCache(8)
+	c.disk = mustDisk(t, dir)
+	t.Cleanup(c.Close)
+	key := sampleKey{graph: "twostars", engine: fairim.EngineRIS, model: cascade.IC, tau: 3, budget: 100, seed: 1}
+	if _, _, _, err := c.SampleFor(context.Background(), key, g, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if st := c.Stats(); st.DiskWrites != 1 || st.FlushesInFlight != 0 {
+		t.Fatalf("after Close: %+v", st)
+	}
+	key.seed = 2
+	smp, _, _, err := c.SampleFor(context.Background(), key, g, 1, nil)
+	if err != nil || smp == nil {
+		t.Fatalf("SampleFor after Close: %v", err)
+	}
+	c.Close()
+	if st := c.Stats(); st.Builds != 2 || st.DiskWrites != 1 {
+		t.Fatalf("sample built after Close was persisted: %+v", st)
+	}
+	if _, err := os.Stat(c.disk.fileName(key)); !os.IsNotExist(err) {
+		t.Fatalf("state file for a post-Close build: %v", err)
 	}
 }
 
@@ -337,8 +377,10 @@ func TestCacheDiskConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	a := NewCache(16)
 	a.disk = mustDisk(t, dir)
+	t.Cleanup(a.Close)
 	b := NewCache(16)
 	b.disk = mustDisk(t, dir)
+	t.Cleanup(b.Close)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -435,6 +477,7 @@ func TestDiskStoreGC(t *testing.T) {
 	}
 	c := NewCache(8)
 	c.disk = mustDisk(t, dir)
+	t.Cleanup(c.Close)
 	for _, key := range keys {
 		if _, _, _, err := c.SampleFor(context.Background(), key, g, 1, nil); err != nil {
 			t.Fatal(err)
@@ -507,6 +550,7 @@ func TestDiskStoreGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.disk = d4
+	t.Cleanup(c2.Close)
 	for _, key := range keys[:2] {
 		if _, _, _, err := c2.SampleFor(context.Background(), key, g, 1, nil); err != nil {
 			t.Fatal(err)

@@ -212,9 +212,13 @@ func (s *Server) Handler() http.Handler { return s.metrics.wrap(s.mux) }
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
 // WaitFlushes blocks until every background sketch write-through has
-// reached disk. The daemon calls it on shutdown so a warm restart finds
-// everything it built; tests call it before asserting disk state.
+// reached disk. Tests call it before asserting disk state.
 func (s *Server) WaitFlushes() { s.cache.WaitFlushes() }
+
+// Close stops new background sketch write-throughs and waits for those in
+// flight. The daemon calls it on shutdown so a warm restart finds
+// everything it built and nothing writes to the state dir afterwards.
+func (s *Server) Close() { s.cache.Close() }
 
 // AccuracyRequest is the wire form of an (ε,δ) estimation target.
 type AccuracyRequest struct {
