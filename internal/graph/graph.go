@@ -20,6 +20,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fairtcim/internal/xrand"
@@ -276,7 +277,7 @@ func (b *Builder) AddEdge(u, v NodeID, p float64) {
 	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("graph: probability %v out of [0,1]", p))
 	}
 	b.from = append(b.from, u)
@@ -291,7 +292,9 @@ func (b *Builder) AddUndirected(u, v NodeID, p float64) {
 }
 
 // Build finalizes the graph into CSR form. Duplicate directed edges are
-// rejected; self loops are allowed but pointless under IC.
+// rejected; self loops are allowed but pointless under IC. The expected
+// live-edge count is summed in CSR order, so it depends only on the edge
+// set, not on the order edges were added.
 func (b *Builder) Build() (*Graph, error) {
 	groups, sizes, k, err := normalizeGroups(b.groups)
 	if err != nil {
@@ -313,7 +316,7 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("graph: duplicate edge %d->%d", v, dup)
 		}
 	}
-	for _, p := range b.p {
+	for _, p := range g.outProbs {
 		g.sumProbs += p
 	}
 	g.outThresh = thresholds(g.outProbs)
@@ -360,10 +363,14 @@ func buildCSR(n int, src, dst []NodeID, p []float64) ([]int32, []NodeID, []float
 		probs[pos] = p[i]
 		fill[u]++
 	}
+	// Rows fed in target order (every edge list Write produces) are
+	// already sorted; one reused sorter orders the rest.
+	var rows pairSorter
 	for v := 0; v < n; v++ {
 		lo, hi := offsets[v], offsets[v+1]
-		if hi-lo > 1 {
-			sort.Sort(pairSorter{t: targets[lo:hi], p: probs[lo:hi]})
+		if !slices.IsSorted(targets[lo:hi]) {
+			rows.t, rows.p = targets[lo:hi], probs[lo:hi]
+			sort.Sort(&rows)
 		}
 	}
 	return offsets, targets, probs

@@ -298,6 +298,7 @@ func TestReadErrors(t *testing.T) {
 		"fairtcim-graph v1\nn -1\n",         // negative nodes
 		"fairtcim-graph v1\nn 2\ne 0 5 0.5", // edge out of range
 		"fairtcim-graph v1\nn 2\ne 0 1 2.0", // probability out of range
+		"fairtcim-graph v1\nn 2\ne 0 1 NaN", // probability not a number
 		"fairtcim-graph v1\nn 2\nx 0 1",     // unknown record
 		"fairtcim-graph v1\nn 2\ng 0",       // short group line
 		"fairtcim-graph v1\nn 2\ng 0 9",     // sparse groups

@@ -107,7 +107,7 @@ func Read(r io.Reader) (*Graph, error) {
 			if err1 != nil || err2 != nil || err3 != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge line %q", lineNo, line)
 			}
-			if u < 0 || u >= n || v < 0 || v >= n || p < 0 || p > 1 {
+			if u < 0 || u >= n || v < 0 || v >= n || !(p >= 0 && p <= 1) {
 				return nil, fmt.Errorf("graph: line %d: edge out of range %q", lineNo, line)
 			}
 			b.AddEdge(NodeID(u), NodeID(v), p)

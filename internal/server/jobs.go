@@ -70,6 +70,11 @@ type job struct {
 	// restoredPicks carries the pick count of a journal-restored job,
 	// whose trace buffer is gone.
 	restoredPicks int
+	// settled is the terminal record finish decided, held back from
+	// status readers and trace streams until jobStore.noteFinished has
+	// journaled it and calls publish: a client that sees a job finish can
+	// rely on its record surviving a restart.
+	settled *jobRecord
 }
 
 // signalLocked wakes every waiter; callers hold mu.
@@ -102,23 +107,35 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state. A cancellation-shaped
-// error after a DELETE request lands in JobCanceled; any other error is a
-// genuine failure even if a cancel raced in behind it.
+// finish settles the job's terminal state without publishing it; see
+// settled. A cancellation-shaped error after a DELETE request lands in
+// JobCanceled; any other error is a genuine failure even if a cancel
+// raced in behind it.
 func (j *job) finish(resp *SolveResponse, err error) {
 	j.mu.Lock()
-	j.finished = time.Now()
+	defer j.mu.Unlock()
+	rec := j.recordLocked()
+	rec.Finished = time.Now()
 	switch {
 	case err == nil:
-		j.state = JobDone
-		j.result = resp
+		rec.Status = JobDone
+		rec.Result = resp
 	case j.cancelReq && (errors.Is(err, fairim.ErrCanceled) || errors.Is(err, context.Canceled)):
-		j.state = JobCanceled
-		j.errMsg = "canceled"
+		rec.Status = JobCanceled
+		rec.Error = "canceled"
 	default:
-		j.state = JobFailed
-		j.errMsg = err.Error()
+		rec.Status = JobFailed
+		rec.Error = err.Error()
 	}
+	j.settled = &rec
+}
+
+// publish makes the settled terminal state visible and wakes waiters.
+func (j *job) publish() {
+	j.mu.Lock()
+	rec := j.settled
+	j.settled = nil
+	j.state, j.finished, j.result, j.errMsg = rec.Status, rec.Finished, rec.Result, rec.Error
 	j.signalLocked()
 	j.mu.Unlock()
 }
@@ -139,7 +156,7 @@ func (j *job) arm(cancel context.CancelFunc) {
 // context. It reports false when the job had already finished.
 func (j *job) requestCancel() bool {
 	j.mu.Lock()
-	if terminal(j.state) {
+	if terminal(j.state) || j.settled != nil {
 		j.mu.Unlock()
 		return false
 	}
@@ -153,10 +170,19 @@ func (j *job) requestCancel() bool {
 	return true
 }
 
-// record snapshots the job for the journal.
+// record snapshots the job for the journal: the settled terminal record
+// once finish has run, even before publish.
 func (j *job) record() jobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.settled != nil {
+		return *j.settled
+	}
+	return j.recordLocked()
+}
+
+// recordLocked snapshots the published state; callers hold mu.
+func (j *job) recordLocked() jobRecord {
 	picks := len(j.trace)
 	if picks == 0 {
 		picks = j.restoredPicks
@@ -349,11 +375,22 @@ func (st *jobStore) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// noteFinished records a job's terminal state: the active count drops,
-// the cumulative counter for its outcome bumps, the record is journaled,
-// and over-retention history is evicted immediately.
+// noteFinished records the terminal state finish settled: the record is
+// journaled, then published to pollers, then the active count drops, the
+// cumulative counter for its outcome bumps, and over-retention history is
+// evicted immediately.
 func (st *jobStore) noteFinished(j *job) {
 	rec := j.record()
+	st.mu.Lock()
+	journal := st.journal
+	st.mu.Unlock()
+	if journal != nil {
+		if err := journal.append(rec); err != nil {
+			st.journalErrors.Add(1)
+		}
+	}
+	j.publish()
+
 	st.mu.Lock()
 	st.active--
 	switch rec.Status {
@@ -365,12 +402,8 @@ func (st *jobStore) noteFinished(j *job) {
 		st.done++
 	}
 	st.evictLocked()
-	journal := st.journal
 	st.mu.Unlock()
 	if journal != nil {
-		if err := journal.append(rec); err != nil {
-			st.journalErrors.Add(1)
-		}
 		// Opportunistic compaction: once appends have grown the file past
 		// ~4× retention, rewrite it from the retained in-memory history.
 		if _, err := journal.maybeCompact(st.retainedRecords); err != nil {
@@ -470,8 +503,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j.arm(cancel)
+	// The 202 reports the job as accepted: snapshot it before the runner
+	// starts, or a warm solve can finish first and the acceptance would
+	// already read "done".
+	accepted := j.status()
 	go s.runJob(ctx, j, g, req.Graph, version, spec)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // startGate wraps a workerGate so the job flips from "queued" to

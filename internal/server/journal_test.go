@@ -185,3 +185,38 @@ func TestJobJournalEmptyDir(t *testing.T) {
 		t.Fatalf("replay after first append: %v, %+v", err, again)
 	}
 }
+
+// TestJobDoneOnlyOnceJournaled: a finished job reads as running until
+// noteFinished has appended its record to the journal, so a poller that
+// sees "done" and restarts the daemon finds the job in its history.
+func TestJobDoneOnlyOnceJournaled(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	journal, _, err := openJobJournal(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newJobStore(4, 8, journal)
+	j, err := st.add("g", "P1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.setRunning()
+	j.finish(&SolveResponse{}, nil)
+	if got := j.status().Status; got != JobRunning {
+		t.Fatalf("settled job reads %q before it is journaled, want %q", got, JobRunning)
+	}
+	if j.requestCancel() {
+		t.Error("cancel accepted for a settled job")
+	}
+	st.noteFinished(j)
+	if got := j.status().Status; got != JobDone {
+		t.Fatalf("journaled job reads %q, want %q", got, JobDone)
+	}
+	_, recs, err := openJobJournal(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ID != j.id || recs[0].Status != JobDone {
+		t.Fatalf("journal holds %+v, want the done record of %s", recs, j.id)
+	}
+}

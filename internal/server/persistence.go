@@ -256,13 +256,19 @@ func (d *diskStore) meta(key sampleKey, g *graph.Graph) persist.Meta {
 // never strands a state dir written by an earlier release. Beyond the
 // frame checks, the decoded sample is validated against the key's own
 // parameters (τ, explicit budgets), so even a valid file that somehow
-// landed under the wrong name cannot serve wrong answers.
+// landed under the wrong name cannot serve wrong answers. The file is
+// read before the frame is checked, so a miss (the first request at every
+// new graph version) costs no fingerprint walk of the adjacency.
 func (d *diskStore) load(key sampleKey, g *graph.Graph) (*sample, error) {
 	path := d.fileName(key)
-	payload, version, err := persist.LoadRange(path, d.meta(key, g), minCodecVersion(key))
+	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	payload, version, err := persist.DecodeRange(data, d.meta(key, g), minCodecVersion(key))
 	if err != nil {
 		return nil, err
 	}

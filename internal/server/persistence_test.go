@@ -369,6 +369,23 @@ func TestCacheDiskClose(t *testing.T) {
 	}
 }
 
+// TestDiskLoadMissSkipsFingerprint: loading a key that has no state file
+// is a plain miss and computes no graph fingerprint.
+func TestDiskLoadMissSkipsFingerprint(t *testing.T) {
+	d := mustDisk(t, t.TempDir())
+	key := sampleKey{graph: "twostars", engine: fairim.EngineRIS, model: cascade.IC, tau: 3, budget: 100, seed: 1}
+	smp, err := d.load(key, generate.TwoStars())
+	if smp != nil || err != nil {
+		t.Fatalf("load of an absent key = (%v, %v), want (nil, nil)", smp, err)
+	}
+	d.mu.Lock()
+	memo := len(d.fps)
+	d.mu.Unlock()
+	if memo != 0 {
+		t.Fatalf("miss computed %d graph fingerprints, want 0", memo)
+	}
+}
+
 // TestCacheDiskConcurrent exercises concurrent save/load through two
 // caches sharing one state dir under -race: per-key singleflight within a
 // cache, atomic file replacement across caches.
